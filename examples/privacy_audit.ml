@@ -60,8 +60,9 @@ let () =
   List.iter
     (fun entry ->
       match
-        Law_authority.audit_only (Deployment.operator d)
-          ~msg:entry.Mesh_router.le_transcript entry.Mesh_router.le_gsig
+        Option.bind (Mesh_router.logged_signature router entry)
+          (Law_authority.audit_only (Deployment.operator d)
+             ~msg:entry.Mesh_router.le_transcript)
       with
       | Some finding ->
         Printf.printf "  session %s... -> %s\n"

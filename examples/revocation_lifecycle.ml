@@ -39,8 +39,9 @@ let () =
      and the operator revokes the key the audit pinned down *)
   let entry = List.hd (Mesh_router.access_log router) in
   (match
-     Network_operator.audit (Deployment.operator d)
-       ~msg:entry.Mesh_router.le_transcript entry.Mesh_router.le_gsig
+     Option.bind (Mesh_router.logged_signature router entry)
+       (Network_operator.audit (Deployment.operator d)
+          ~msg:entry.Mesh_router.le_transcript)
    with
   | Some finding ->
     Printf.printf "audit of the suspicious session: user group %d, key index %d\n"

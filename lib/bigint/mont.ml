@@ -1,10 +1,13 @@
-(* Montgomery multiplication (CIOS) on 30-bit limbs.
+(* Montgomery multiplication (FIOS) on 30-bit limbs.
 
-   All elements are int arrays of exactly [ctx.k] limbs. The CIOS loop keeps
-   every intermediate below 2^62, within OCaml's native int. *)
+   All elements are int arrays of exactly [ctx.k] limbs. The multiplication
+   loop keeps every intermediate below 2^62, within OCaml's native int. *)
 
-let limb_bits = Bigint.Internal.limb_bits
-let limb_mask = Bigint.Internal.limb_mask
+(* Literal constants, so the compiler folds them into the shifts and masks
+   of the inner loops; the assertion ties them to [Bigint]'s limb size. *)
+let limb_bits = 30
+let limb_mask = (1 lsl limb_bits) - 1
+let () = assert (limb_bits = Bigint.Internal.limb_bits)
 
 type ctx = {
   m : int array;          (* modulus limbs, length k *)
@@ -52,38 +55,41 @@ let sub_mod_in_place a m k =
     else (a.(i) <- d; borrow := 0)
   done
 
+(* Montgomery multiplication with the reduction fused into the product loop
+   (FIOS): row i adds a_i·b and u·m to the accumulator and shifts it down one
+   limb in the same pass. Every step stays below 2^62 — t_j + a_i·b_j +
+   u·m_j + carry < 2^30 + 2·2^60 + 2^32 — so one carry suffices. The
+   accumulator is the k-limb result itself plus one overflow limb in a local,
+   so a call allocates only its result. The width check makes the unchecked
+   limb accesses safe even for an element from another context. *)
 let mont_mul ctx a b =
   let k = ctx.k and m = ctx.m and m' = ctx.m' in
-  let t = Array.make (k + 2) 0 in
+  if Array.length a <> k || Array.length b <> k then
+    invalid "Mont.mul: element width does not match the context";
+  let t = Array.make k 0 in
+  let top = ref 0 in
   for i = 0 to k - 1 do
-    let ai = a.(i) in
-    (* t += a_i * b *)
-    let c = ref 0 in
-    for j = 0 to k - 1 do
-      let s = t.(j) + (ai * b.(j)) + !c in
-      t.(j) <- s land limb_mask;
-      c := s lsr limb_bits
-    done;
-    let s = t.(k) + !c in
-    t.(k) <- s land limb_mask;
-    t.(k + 1) <- t.(k + 1) + (s lsr limb_bits);
-    (* reduce one limb *)
-    let u = (t.(0) * m') land limb_mask in
-    let s0 = t.(0) + (u * m.(0)) in
-    let c = ref (s0 lsr limb_bits) in
+    let ai = Array.unsafe_get a i in
+    let t0 = Array.unsafe_get t 0 + (ai * Array.unsafe_get b 0) in
+    (* u zeroes the low limb; only the low bits of the product matter *)
+    let u = (t0 * m') land limb_mask in
+    let c = ref ((t0 + (u * Array.unsafe_get m 0)) lsr limb_bits) in
     for j = 1 to k - 1 do
-      let s = t.(j) + (u * m.(j)) + !c in
-      t.(j - 1) <- s land limb_mask;
+      let s =
+        Array.unsafe_get t j
+        + (ai * Array.unsafe_get b j)
+        + (u * Array.unsafe_get m j)
+        + !c
+      in
+      Array.unsafe_set t (j - 1) (s land limb_mask);
       c := s lsr limb_bits
     done;
-    let s = t.(k) + !c in
-    t.(k - 1) <- s land limb_mask;
-    t.(k) <- t.(k + 1) + (s lsr limb_bits);
-    t.(k + 1) <- 0
+    let s = !top + !c in
+    Array.unsafe_set t (k - 1) (s land limb_mask);
+    top := s lsr limb_bits
   done;
-  let r = Array.sub t 0 k in
-  if t.(k) > 0 || geq_mod r ctx.m k then sub_mod_in_place r ctx.m k;
-  r
+  if !top > 0 || geq_mod t m k then sub_mod_in_place t m k;
+  t
 
 let create modulus =
   if Bigint.compare modulus (Bigint.of_int 3) < 0 then
@@ -210,3 +216,8 @@ let inv ctx a =
   let g, s, _ = egcd x ctx.modulus in
   if not (Bigint.is_one g) then raise Division_by_zero;
   of_bigint ctx s
+
+module Internal = struct
+  let limbs (x : elt) = x
+  let of_limbs (x : int array) : elt = x
+end

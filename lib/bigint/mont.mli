@@ -5,7 +5,12 @@
     vectors in Montgomery representation; they are only meaningful relative
     to the context that created them.
 
-    This is the hot inner loop of the pairing, ECDSA and RSA layers. *)
+    This is the hot inner loop of the pairing, ECDSA and RSA layers.
+    {!mul} fuses the reduction into the product loop (FIOS) and works in
+    place in its k-limb result, so a call allocates only that result. It
+    checks the operands' width once and then accesses limbs unchecked.
+    {!sqr} is [mul x x]: a separate squaring was measured and was not
+    faster. *)
 
 type ctx
 (** Precomputed state for one odd modulus. *)
@@ -33,6 +38,9 @@ val add : ctx -> elt -> elt -> elt
 val sub : ctx -> elt -> elt -> elt
 val neg : ctx -> elt -> elt
 val mul : ctx -> elt -> elt -> elt
+(** @raise Invalid_argument if an operand does not have the context's
+    width (an element of another context). *)
+
 val sqr : ctx -> elt -> elt
 val equal : ctx -> elt -> elt -> bool
 val is_zero : ctx -> elt -> bool
@@ -45,3 +53,15 @@ val inv : ctx -> elt -> elt
     invertible (shares a factor with the modulus). *)
 
 val of_int : ctx -> int -> elt
+
+(**/**)
+
+(* Internal: raw limb access for differential tests. *)
+module Internal : sig
+  val limbs : elt -> int array
+  (** Little-endian 30-bit limbs of the Montgomery representation
+      (shared, do not mutate). *)
+
+  val of_limbs : int array -> elt
+  (** Takes ownership of a limb vector. *)
+end

@@ -86,8 +86,8 @@ let invoice no ~router meter =
       | None -> ()
       | Some entry -> begin
         match
-          Network_operator.audit no ~msg:entry.Mesh_router.le_transcript
-            entry.Mesh_router.le_gsig
+          Option.bind (Mesh_router.logged_signature router entry)
+            (Network_operator.audit no ~msg:entry.Mesh_router.le_transcript)
         with
         | None -> ()
         | Some finding ->

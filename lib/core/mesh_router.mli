@@ -13,12 +13,14 @@ open Peace_groupsig
 
 type t
 
-(** A logged (M.2) for the audit trail of §IV-D. *)
+(** A logged (M.2) for the audit trail of §IV-D. The log gains one entry
+    per handshake and is never pruned, so the signature is kept in its
+    wire encoding, a quarter of the memory of the decoded record. *)
 type log_entry = {
   le_session_id : string;
   le_ts : int;
   le_transcript : string;
-  le_gsig : Group_sig.signature;
+  le_gsig : string;  (** {!Group_sig.signature_to_bytes} of the (M.2) signature *)
 }
 
 val create :
@@ -101,6 +103,10 @@ val find_session : t -> id:string -> Session.t option
 
 val access_log : t -> log_entry list
 (** Most recent first. *)
+
+val logged_signature : t -> log_entry -> Group_sig.signature option
+(** The entry's group signature, decoded with the router's group
+    parameters. *)
 
 val verifications_performed : t -> int
 (** Number of group-signature verifications this router has executed —

@@ -183,9 +183,7 @@ let sign gpk gsk ~rng ~msg =
          (Pairing.Gt.pow params e_v_w (Bigint.neg r_alpha))
          (Pairing.Gt.pow params e_v_g2 (Bigint.neg r_delta)))
   in
-  let r3 =
-    G1.add params (G1.mul params r_x t1) (G1.neg params (G1.mul params r_delta u))
-  in
+  let r3 = G1.mul2 params r_x t1 r_delta (G1.neg params u) in
   let c = challenge gpk ~msg ~r_nonce ~t1 ~t2 ~r1 ~r2 ~r3 in
   {
     r_nonce;
@@ -211,15 +209,15 @@ let proof_ok gpk ~msg signature =
   &&
   let u, v = bases gpk ~msg ~r_nonce in
   (* R̃1 = s_α·u − c·T1 *)
-  let r1 =
-    G1.add params (G1.mul params s_alpha u) (G1.neg params (G1.mul params c t1))
-  in
+  let r1 = G1.mul2 params s_alpha u c (G1.neg params t1) in
   (* R̃2 = e(T2, s_x·g2 + c·w) · e(v, −s_α·w − s_δ·g2) · e(g1,g2)^{−c} *)
-  let arg1 = G1.add params (G1.mul params s_x gpk.g2) (G1.mul params c gpk.w) in
+  let arg1 = G1.mul2 params s_x gpk.g2 c gpk.w in
   let arg2 =
-    G1.add params
-      (G1.mul params (Modular.sub Bigint.zero s_alpha q) gpk.w)
-      (G1.mul params (Modular.sub Bigint.zero s_delta q) gpk.g2)
+    G1.mul2 params
+      (Modular.sub Bigint.zero s_alpha q)
+      gpk.w
+      (Modular.sub Bigint.zero s_delta q)
+      gpk.g2
   in
   let r2 =
     Pairing.Gt.mul params
@@ -227,9 +225,7 @@ let proof_ok gpk ~msg signature =
       (Pairing.Gt.pow params gpk.e_g1_g2 (Bigint.neg c))
   in
   (* R̃3 = s_x·T1 − s_δ·u *)
-  let r3 =
-    G1.add params (G1.mul params s_x t1) (G1.neg params (G1.mul params s_delta u))
-  in
+  let r3 = G1.mul2 params s_x t1 s_delta (G1.neg params u) in
   Bigint.equal c (challenge gpk ~msg ~r_nonce ~t1 ~t2 ~r1 ~r2 ~r3)
 
 (* Eq. 3: is token A encoded in (T1, T2)?  e(T2 − A, û) = e(T1, v̂) *)

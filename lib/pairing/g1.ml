@@ -173,54 +173,130 @@ let jac_add fp p q =
       Jac { jx = x3; jy = y3; jz = Mont.mul fp (Mont.mul fp a.jz b.jz) h }
     end
 
-let mul_uncounted params k p =
-  let fp = params.Params.fp in
-  if Bigint.sign k < 0 then invalid_arg "G1.mul: negative scalar";
-  match p with
-  | Infinity -> Infinity
-  | Affine { x = px; y = py } ->
-    let nbits = Bigint.num_bits k in
-    if nbits = 0 then Infinity
-    else if nbits <= 8 then begin
-      (* short scalars: plain double-and-add, no table overhead *)
-      let acc = ref Jinf in
-      for i = nbits - 1 downto 0 do
-        acc := jac_double fp !acc;
-        if Bigint.testbit k i then acc := jac_add_affine fp !acc px py
-      done;
-      jac_to_affine fp !acc
-    end
-    else begin
-      (* 4-bit fixed window *)
-      let table = Array.make 16 Jinf in
-      table.(1) <- Jac { jx = px; jy = py; jz = Mont.one fp };
-      for i = 2 to 15 do
-        table.(i) <- jac_add_affine fp table.(i - 1) px py
-      done;
-      let nwin = (nbits + 3) / 4 in
-      let window w =
-        let v = ref 0 in
-        for b = 3 downto 0 do
-          let idx = (4 * w) + b in
-          v := (!v lsl 1) lor (if idx < nbits && Bigint.testbit k idx then 1 else 0)
+(* Jacobian to affine for a whole table with one shared inversion
+   (Montgomery's trick); [Jinf] entries become [Infinity]. *)
+let batch_to_affine fp js =
+  let n = Array.length js in
+  (* before.(i) is the product of the z coordinates of entries 0 .. i-1 *)
+  let before = Array.make n (Mont.one fp) in
+  let prod = ref (Mont.one fp) in
+  for i = 0 to n - 1 do
+    before.(i) <- !prod;
+    match js.(i) with Jinf -> () | Jac { jz; _ } -> prod := Mont.mul fp !prod jz
+  done;
+  let inv = ref (Mont.inv fp !prod) in
+  let out = Array.make n Infinity in
+  for i = n - 1 downto 0 do
+    match js.(i) with
+    | Jinf -> ()
+    | Jac { jx; jy; jz } ->
+      let zinv = Mont.mul fp !inv before.(i) in
+      inv := Mont.mul fp !inv jz;
+      let zinv2 = Mont.sqr fp zinv in
+      out.(i) <-
+        Affine
+          { x = Mont.mul fp jx zinv2; y = Mont.mul fp jy (Mont.mul fp zinv2 zinv) }
+  done;
+  out
+
+(* Signed windows of width 5 (wNAF). *)
+let wnaf_width = 5
+
+(* The wNAF digits of k >= 0, least significant first: each digit is 0 or
+   odd with |d| < 2^(w-1), and each nonzero digit is followed by at least
+   w-1 zeros, so an n-bit scalar needs about n/(w+1) additions. *)
+let wnaf k =
+  let nbits = Bigint.num_bits k in
+  let bit i = if i < nbits && Bigint.testbit k i then 1 else 0 in
+  let digits = Array.make (nbits + 1) 0 in
+  let rec go i carry =
+    if i < nbits || carry > 0 then begin
+      let b = bit i + carry in
+      if b land 1 = 0 then go (i + 1) (b lsr 1)
+      else begin
+        let v = ref carry in
+        for j = wnaf_width - 1 downto 0 do
+          v := !v + (bit (i + j) lsl j)
         done;
-        !v
-      in
-      let acc = ref table.(window (nwin - 1)) in
-      for w = nwin - 2 downto 0 do
-        acc := jac_double fp !acc;
-        acc := jac_double fp !acc;
-        acc := jac_double fp !acc;
-        acc := jac_double fp !acc;
-        let v = window w in
-        if v <> 0 then acc := jac_add fp !acc table.(v)
-      done;
-      jac_to_affine fp !acc
+        if !v >= 1 lsl (wnaf_width - 1) then begin
+          digits.(i) <- !v - (1 lsl wnaf_width);
+          go (i + wnaf_width) 1
+        end
+        else begin
+          digits.(i) <- !v;
+          go (i + wnaf_width) 0
+        end
+      end
     end
+  in
+  go 0 0;
+  digits
+
+(* P, 3P, 5P, …, (2n-1)P in Jacobian coordinates *)
+let odd_multiples fp px py n =
+  let base = Jac { jx = px; jy = py; jz = Mont.one fp } in
+  let table = Array.make n base in
+  if n > 1 then begin
+    let twice = jac_double fp base in
+    for j = 1 to n - 1 do
+      table.(j) <- jac_add fp table.(j - 1) twice
+    done
+  end;
+  table
+
+(* Σ k_i·P_i by Straus's method: one doubling chain shared by every term,
+   and per term one mixed addition of a table entry for each nonzero wNAF
+   digit. All tables are normalised to affine with a single inversion. *)
+let lin_comb params name terms =
+  let fp = params.Params.fp in
+  List.iter
+    (fun (k, _) -> if Bigint.sign k < 0 then invalid_arg (name ^ ": negative scalar"))
+    terms;
+  let terms =
+    List.filter_map
+      (fun (k, p) ->
+        match p with
+        | Affine { x; y } when not (Bigint.is_zero k) ->
+          let digits = wnaf k in
+          let top = Array.fold_left (fun m d -> max m (abs d)) 0 digits in
+          Some (digits, odd_multiples fp x y ((top + 1) / 2))
+        | Affine _ | Infinity -> None)
+      terms
+  in
+  let affine = batch_to_affine fp (Array.concat (List.map snd terms)) in
+  let _, terms =
+    List.fold_left_map
+      (fun offset (digits, table) ->
+        let n = Array.length table in
+        (offset + n, (digits, Array.sub affine offset n)))
+      0 terms
+  in
+  let len = List.fold_left (fun m (digits, _) -> max m (Array.length digits)) 0 terms in
+  let acc = ref Jinf in
+  for i = len - 1 downto 0 do
+    acc := jac_double fp !acc;
+    List.iter
+      (fun (digits, table) ->
+        let d = if i < Array.length digits then digits.(i) else 0 in
+        if d <> 0 then
+          match table.(abs d / 2) with
+          | Infinity -> ()
+          | Affine { x; y } ->
+            acc := jac_add_affine fp !acc x (if d > 0 then y else Mont.neg fp y))
+      terms
+  done;
+  jac_to_affine fp !acc
+
+let mul_uncounted params k p = lin_comb params "G1.mul" [ (k, p) ]
 
 let mul params k p =
   Counters.count_g1_mul ();
   mul_uncounted params k p
+
+let mul2 params k1 p1 k2 p2 =
+  Counters.count_g1_mul ();
+  Counters.count_g1_mul ();
+  lin_comb params "G1.mul2" [ (k1, p1); (k2, p2) ]
 
 let in_subgroup params p =
   is_infinity p

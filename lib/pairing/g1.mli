@@ -2,7 +2,12 @@
 
     In this symmetric (type-A) instantiation G2 = G1 and the isomorphism ψ
     of the paper is the identity. Scalar multiplications are counted by
-    {!Counters} as the paper's "exponentiations". *)
+    {!Counters} as the paper's "exponentiations".
+
+    Scalar multiplication uses signed width-5 windows (wNAF) in Jacobian
+    coordinates. The odd multiples P, 3P, …, 15P are normalised to affine
+    with one shared inversion, so the main loop adds with mixed additions.
+    {!mul2} runs two such terms over a single doubling chain (Straus). *)
 
 open Peace_bigint
 
@@ -28,7 +33,15 @@ val double : Params.t -> point -> point
 
 val mul : Params.t -> Bigint.t -> point -> point
 (** Scalar multiplication. The scalar is used as-is (not reduced), so this
-    also serves cofactor clearing. Counted as one G1 exponentiation. *)
+    also serves cofactor clearing. Counted as one G1 exponentiation.
+    @raise Invalid_argument on a negative scalar. *)
+
+val mul2 : Params.t -> Bigint.t -> point -> Bigint.t -> point -> point
+(** [mul2 params k1 p1 k2 p2] is [k1·p1 + k2·p2], computed with one shared
+    doubling chain. Equal to [add (mul k1 p1) (mul k2 p2)] for every input
+    and counted as two G1 exponentiations, so the paper's operation counts
+    do not depend on how a combination is evaluated.
+    @raise Invalid_argument on a negative scalar. *)
 
 val equal : Params.t -> point -> point -> bool
 val on_curve : Params.t -> point -> bool

@@ -284,6 +284,76 @@ let arbitrary_bigint =
 
 let prop name count law = QCheck.Test.make ~name ~count law
 
+(* The moduli the kernel runs at: the tiny and light pairing fields and the
+   secp160r1 field. Each leaves its top limb at least one bit of headroom,
+   and then the kernel's overflow limb stays 0; it is set only for a modulus
+   close to 2^(30k), which 2^120 - 119, the largest 120-bit prime, covers. *)
+let deployed_moduli =
+  [
+    ("tiny", (Lazy.force Peace_pairing.Params.tiny).Peace_pairing.Params.p);
+    ("secp160r1", Peace_ec.Curve.field_order (Lazy.force Peace_ec.Curves.secp160r1));
+    ("light", (Lazy.force Peace_pairing.Params.light).Peace_pairing.Params.p);
+  ]
+
+let kernel_moduli =
+  deployed_moduli
+  @ [ ("2^120 - 119", Bigint.sub (Bigint.shift_left Bigint.one 120) (Bigint.of_int 119)) ]
+
+(* an operand below p: one of the edges 0, 1, p-1, R mod p, or random *)
+let residue_gen ctx =
+  let p = Mont.modulus ctx in
+  let r_mod_p =
+    Bigint.erem (Bigint.shift_left Bigint.one (30 * Mont.num_limbs ctx)) p
+  in
+  QCheck.Gen.(
+    frequency
+      [
+        (1, oneofl [ Bigint.zero; Bigint.one; Bigint.pred p; r_mod_p ]);
+        (3, map (fun seed -> Bigint.random_below (test_rng seed) p) int);
+      ])
+
+(* the limb vector of a value below p, as the kernel sees an operand *)
+let raw_operand ctx x =
+  let v = Array.make (Mont.num_limbs ctx) 0 in
+  let mag = Bigint.Internal.magnitude x in
+  Array.blit mag 0 v 0 (Array.length mag);
+  Mont.Internal.of_limbs v
+
+let kernel_differential (name, p) =
+  let ctx = Mont.create p in
+  let arb =
+    QCheck.make ~print:QCheck.Print.(pair Bigint.to_string Bigint.to_string)
+      QCheck.Gen.(pair (residue_gen ctx) (residue_gen ctx))
+  in
+  prop ("mont kernel matches CIOS oracle and modular at " ^ name) 500 arb
+    (fun (a, b) ->
+      let ra = raw_operand ctx a and rb = raw_operand ctx b in
+      let kernel = Mont.Internal.limbs (Mont.mul ctx ra rb) in
+      let oracle =
+        Oracles.cios_mul ctx (Mont.Internal.limbs ra) (Mont.Internal.limbs rb)
+      in
+      let ma = Mont.of_bigint ctx a and mb = Mont.of_bigint ctx b in
+      kernel = oracle
+      && Bigint.equal
+           (Mont.to_bigint ctx (Mont.mul ctx ma mb))
+           (Modular.mul a b p)
+      && Bigint.equal (Mont.to_bigint ctx (Mont.sqr ctx ma)) (Modular.mul a a p))
+
+let test_mont_width_guard () =
+  let light = Mont.create (List.assoc "light" deployed_moduli) in
+  let tiny = Mont.create (List.assoc "tiny" deployed_moduli) in
+  let short = Mont.of_int tiny 5 and long = Mont.of_int light 7 in
+  let rejects name f =
+    Alcotest.(check bool) name true
+      (match f () with _ -> false | exception Invalid_argument _ -> true)
+  in
+  rejects "tiny element as left operand under light" (fun () ->
+      Mont.mul light short long);
+  rejects "tiny element as right operand under light" (fun () ->
+      Mont.mul light long short);
+  rejects "tiny element squared under light" (fun () -> Mont.sqr light short);
+  rejects "light element under tiny" (fun () -> Mont.mul tiny long short)
+
 let qcheck_tests =
   [
     prop "add commutes" 300
@@ -387,6 +457,9 @@ let qcheck_tests =
         Bigint.equal
           (Mont.to_bigint ctx (Mont.mul ctx ma mb))
           (Modular.mul (Bigint.erem a m) (Bigint.erem b m) m));
+  ]
+  @ List.map kernel_differential kernel_moduli
+  @ [
     prop "sqrt of square exists" 60
       (QCheck.pair arbitrary_bigint QCheck.small_nat)
       (fun (a, seed) ->
@@ -414,6 +487,7 @@ let suite =
         Alcotest.test_case "primality" `Quick test_primes;
         Alcotest.test_case "randomness" `Quick test_random;
         Alcotest.test_case "montgomery" `Quick test_mont;
+        Alcotest.test_case "montgomery width guard" `Quick test_mont_width_guard;
       ] );
     ("bigint-properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
   ]

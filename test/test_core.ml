@@ -308,8 +308,9 @@ let test_audit_and_trace () =
   Alcotest.(check string) "log entry matches session" sid
     entry.Mesh_router.le_session_id;
   (match
-     Law_authority.audit_only (Deployment.operator d)
-       ~msg:entry.Mesh_router.le_transcript entry.Mesh_router.le_gsig
+     Option.bind (Mesh_router.logged_signature router entry)
+       (Law_authority.audit_only (Deployment.operator d)
+          ~msg:entry.Mesh_router.le_transcript)
    with
   | None -> Alcotest.fail "audit found nothing"
   | Some finding ->

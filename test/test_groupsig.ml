@@ -414,6 +414,38 @@ let qcheck_tests =
         in
         let s = Group_sig.sign gpk signer ~rng ~msg in
         Group_sig.open_signature gpk ~grt ~msg s = Some expected);
+    (* the wire decoder, and verify behind it, are total: arbitrary bytes of
+       the right length, and valid signatures with bytes overwritten, give
+       Some/None and a verdict, never an exception *)
+    (let size = Group_sig.signature_size gpk in
+     let valid = Group_sig.signature_to_bytes gpk (Group_sig.sign gpk alice ~rng:(test_rng 500) ~msg:"m") in
+     let arb =
+       QCheck.make ~print:(fun b -> Printf.sprintf "%S" b)
+         QCheck.Gen.(
+           frequency
+             [
+               (1, map (fun seed -> test_rng seed size) int);
+               ( 2,
+                 map2
+                   (fun (pos, byte) len ->
+                     let b = Bytes.of_string valid in
+                     for i = pos to min (size - 1) (pos + len) do
+                       Bytes.set b i (Char.chr byte)
+                     done;
+                     Bytes.to_string b)
+                   (pair (int_bound (size - 1)) (int_bound 255))
+                   (int_bound 3) );
+             ])
+     in
+     QCheck.Test.make ~name:"signature decode total" ~count:200 arb (fun bytes ->
+         match Group_sig.signature_of_bytes gpk bytes with
+         | None -> true
+         | Some s -> (
+           match Group_sig.verify gpk ~msg:"m" s with
+           | Group_sig.Valid -> String.equal bytes valid
+           | Group_sig.Invalid_proof | Group_sig.Revoked -> true)
+         | exception e ->
+           QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e)));
   ]
 
 (* E12: the paper's §V-C operation counts hold on the real code path.

@@ -239,6 +239,138 @@ let test_pairing_counters () =
   Alcotest.(check int) "gt exps" 1 d.Counters.gt_exp;
   Alcotest.(check int) "hashes" 1 d.Counters.hash_to_g1
 
+(* --- differential tests of scalar multiplication against the fixed-window
+   oracle --- *)
+
+(* the first on-curve point with x >= x0 and y <> 0 *)
+let rec curve_point params x0 =
+  let p = params.Params.p in
+  let x = Bigint.of_int x0 in
+  let rhs = Modular.add (Modular.powm x (Bigint.of_int 3) p) x p in
+  match Modular.sqrt rhs p with
+  | Some y when not (Bigint.is_zero y) -> G1.of_affine params ~x ~y
+  | _ -> curve_point params (x0 + 1)
+
+(* Inputs: a subgroup point and its negation, infinity, the 2-torsion point
+   (0, 0), a point outside the q-subgroup, and points of small order, whose
+   odd multiples reach infinity inside the precomputed table. *)
+let mul_points params =
+  let q = params.Params.q and h = params.Params.h in
+  let g = G1.mul params (scalar params 71) (G1.generator params) in
+  let rogue = curve_point params 2 in
+  let cleared d =
+    if Bigint.is_zero (Bigint.erem h (Bigint.of_int d)) then
+      [ G1.mul params (Bigint.mul q (Bigint.div h (Bigint.of_int d))) rogue ]
+    else []
+  in
+  [ g; G1.neg params g; G1.infinity; G1.of_affine params ~x:Bigint.zero ~y:Bigint.zero;
+    rogue ]
+  @ cleared 3 @ cleared 9 @ cleared 4
+
+let mul_scalar_gen params =
+  let q = params.Params.q in
+  QCheck.Gen.(
+    frequency
+      [
+        (1, oneofl [ Bigint.zero; Bigint.one; Bigint.pred q; q; Bigint.succ q ]);
+        (1, map (fun n -> Bigint.of_int n) (int_bound 300));
+        (4, map (fun seed -> Bigint.random_below (test_rng seed) (Bigint.shift_left q 1)) int);
+        (1, map (fun seed -> Bigint.random_below (test_rng seed) params.Params.h) int);
+      ])
+
+let g1_mul_differential params count =
+  let points = Array.of_list (mul_points params) in
+  let arb =
+    QCheck.make
+      ~print:(fun (k, i) -> Printf.sprintf "k=%s point=%d" (Bigint.to_string k) i)
+      QCheck.Gen.(pair (mul_scalar_gen params) (int_bound (Array.length points - 1)))
+  in
+  QCheck.Test.make
+    ~name:("g1 mul matches fixed-window oracle at " ^ params.Params.name)
+    ~count arb
+    (fun (k, i) ->
+      G1.equal params (G1.mul params k points.(i))
+        (Oracles.g1_mul_fixed_window params k points.(i)))
+
+(* p2 is p1, -p1, infinity or another point *)
+let g1_mul2_differential params count =
+  let points = Array.of_list (mul_points params) in
+  let n = Array.length points in
+  let arb =
+    QCheck.make
+      ~print:(fun ((k1, k2), (i, rel)) ->
+        Printf.sprintf "k1=%s k2=%s point=%d relation=%d" (Bigint.to_string k1)
+          (Bigint.to_string k2) i rel)
+      QCheck.Gen.(
+        pair
+          (pair (mul_scalar_gen params) (mul_scalar_gen params))
+          (pair (int_bound (n - 1)) (int_bound 3)))
+  in
+  QCheck.Test.make
+    ~name:("g1 mul2 matches mul + add at " ^ params.Params.name)
+    ~count arb
+    (fun ((k1, k2), (i, rel)) ->
+      let p1 = points.(i) in
+      let p2 =
+        match rel with
+        | 0 -> p1
+        | 1 -> G1.neg params p1
+        | 2 -> G1.infinity
+        | _ -> points.((i + 1) mod n)
+      in
+      G1.equal params
+        (G1.mul2 params k1 p1 k2 p2)
+        (G1.add params (G1.mul params k1 p1) (G1.mul params k2 p2)))
+
+let test_mul2_counts_and_edges () =
+  let params = tiny in
+  let g = G1.generator params in
+  let q = params.Params.q in
+  let before = Counters.snapshot () in
+  let r = G1.mul2 params (Bigint.pred q) g Bigint.one g in
+  let d = Counters.diff (Counters.snapshot ()) before in
+  Alcotest.(check int) "one mul2 counts two g1 exponentiations" 2 d.Counters.g1_mul;
+  Alcotest.(check bool) "(q-1)g + g = O" true (G1.is_infinity r);
+  Alcotest.(check bool) "0·g + 0·O = O" true
+    (G1.is_infinity (G1.mul2 params Bigint.zero g Bigint.zero G1.infinity));
+  let rejects name f =
+    Alcotest.(check bool) name true
+      (match f () with _ -> false | exception Invalid_argument _ -> true)
+  in
+  rejects "mul2 negative first scalar" (fun () ->
+      G1.mul2 params Bigint.minus_one g Bigint.one g);
+  rejects "mul2 negative second scalar" (fun () ->
+      G1.mul2 params Bigint.one g Bigint.minus_one g);
+  rejects "mul negative scalar" (fun () -> G1.mul params Bigint.minus_one g)
+
+(* decode is the trust boundary: total on every input of the right length *)
+let g1_decode_total params count =
+  let width = Params.group_element_bytes params in
+  let arb =
+    QCheck.make ~print:(fun s -> Printf.sprintf "%S" s)
+      QCheck.Gen.(
+        frequency
+          [
+            ( 3,
+              map2
+                (fun tag seed -> String.make 1 tag ^ test_rng seed (width - 1))
+                (oneofl [ '\x00'; '\x02'; '\x03'; '\x04'; '\xff' ])
+                int );
+            ( 1,
+              map
+                (fun seed ->
+                  G1.encode params (G1.mul params (scalar params seed) (G1.generator params)))
+                int );
+          ])
+  in
+  QCheck.Test.make ~name:("g1 decode total at " ^ params.Params.name) ~count arb
+    (fun s ->
+      match G1.decode params s with
+      | None -> true
+      | Some pt -> G1.in_subgroup params pt && G1.encode params pt = s
+      | exception e ->
+        QCheck.Test.fail_reportf "decode raised %s" (Printexc.to_string e))
+
 let qcheck_tests =
   let params = tiny in
   let scalar_arb =
@@ -274,6 +406,12 @@ let qcheck_tests =
         G1.equal params
           (G1.mul params a (G1.mul params b g))
           (G1.mul params (Modular.mul a b params.Params.q) g));
+    g1_mul_differential tiny 300;
+    g1_mul_differential light 25;
+    g1_mul2_differential tiny 300;
+    g1_mul2_differential light 25;
+    g1_decode_total tiny 300;
+    g1_decode_total light 30;
   ]
 
 let suite =
@@ -290,6 +428,7 @@ let suite =
         Alcotest.test_case "hash to point" `Quick test_hash_to_point;
         Alcotest.test_case "decode rejects non-subgroup" `Quick
           test_decode_rejects_nonsubgroup;
+        Alcotest.test_case "mul2 counts and edges" `Quick test_mul2_counts_and_edges;
       ] );
     ("fq2", [ Alcotest.test_case "field axioms" `Quick test_fq2_field_axioms ]);
     ( "pairing",
