@@ -18,6 +18,8 @@ val operator : t -> Network_operator.t
 val ttp : t -> Ttp.t
 val gpk : t -> Group_sig.gpk
 val rng : t -> int -> string
+(** The generator the operator, routers and members share; draws are
+    serialised, so it may be called from several domains. *)
 
 val add_group : t -> group_id:int -> size:int -> Group_manager.t
 (** Registers a user group of [size] keys: NO issues the batch, the GM

@@ -84,38 +84,6 @@ let test_aead_empty_plaintext () =
   | Some _ -> Alcotest.fail "nonempty decryption"
   | None -> Alcotest.fail "decrypt failed"
 
-(* --- AES-128 (FIPS 197 / SP 800-38A vectors) --- *)
-
-let test_aes_block () =
-  (* FIPS 197 appendix C.1 *)
-  let key = Aes.expand_key (String.init 16 Char.chr) in
-  let plaintext = hex_to_string "00112233445566778899aabbccddeeff" in
-  let ciphertext = Aes.encrypt_block key plaintext in
-  Alcotest.(check string) "fips c.1 encrypt"
-    "69c4e0d86a7b0430d8cdb78070b4c55a" (Sha256.to_hex ciphertext);
-  Alcotest.(check string) "fips c.1 decrypt"
-    (Sha256.to_hex plaintext)
-    (Sha256.to_hex (Aes.decrypt_block key ciphertext));
-  Alcotest.check_raises "short key" (Invalid_argument "Aes.expand_key: key must be 16 bytes")
-    (fun () -> ignore (Aes.expand_key "short"));
-  Alcotest.check_raises "short block" (Invalid_argument "Aes: block must be 16 bytes")
-    (fun () -> ignore (Aes.encrypt_block key "short"))
-
-let test_aes_ctr () =
-  (* SP 800-38A F.5.1 CTR-AES128.Encrypt, first block: the initial counter
-     f0f1..feff maps to nonce f0..fb and counter 0xfcfdfeff *)
-  let key = hex_to_string "2b7e151628aed2a6abf7158809cf4f3c" in
-  let nonce = hex_to_string "f0f1f2f3f4f5f6f7f8f9fafb" in
-  let plaintext = hex_to_string "6bc1bee22e409f96e93d7e117393172a" in
-  let ciphertext = Aes.ctr ~key ~nonce ~counter:0xfcfdfeff plaintext in
-  Alcotest.(check string) "sp800-38a ctr block 1"
-    "874d6191b620e3261bef6864990db6ce" (Sha256.to_hex ciphertext);
-  (* involution and partial blocks *)
-  let data = String.init 45 (fun i -> Char.chr (i * 5 mod 256)) in
-  Alcotest.(check string) "ctr involutive" data
-    (Aes.ctr ~key ~nonce (Aes.ctr ~key ~nonce data));
-  Alcotest.(check string) "empty" "" (Aes.ctr ~key ~nonce "")
-
 let qcheck_tests =
   [
     QCheck.Test.make ~name:"aead round trip" ~count:100
@@ -126,17 +94,6 @@ let qcheck_tests =
         | None -> false);
     QCheck.Test.make ~name:"chacha xor involutive" ~count:100 QCheck.string
       (fun data -> Chacha20.xor ~key ~nonce (Chacha20.xor ~key ~nonce data) = data);
-    QCheck.Test.make ~name:"aes block decrypt inverts encrypt" ~count:100
-      (QCheck.pair QCheck.string QCheck.string)
-      (fun (ks, bs) ->
-        let pad s n = String.sub (s ^ String.make n '\000') 0 n in
-        let k = Aes.expand_key (pad ks 16) in
-        let block = pad bs 16 in
-        Aes.decrypt_block k (Aes.encrypt_block k block) = block);
-    QCheck.Test.make ~name:"aes ctr involutive" ~count:100 QCheck.string
-      (fun data ->
-        let k = String.make 16 'k' and n12 = String.make 12 'n' in
-        Aes.ctr ~key:k ~nonce:n12 (Aes.ctr ~key:k ~nonce:n12 data) = data);
     QCheck.Test.make ~name:"distinct nonces give distinct keystreams" ~count:50
       QCheck.small_nat
       (fun i ->
@@ -156,8 +113,6 @@ let suite =
         Alcotest.test_case "aead round trip" `Quick test_aead_round_trip;
         Alcotest.test_case "aead tamper rejection" `Quick test_aead_tamper;
         Alcotest.test_case "aead empty plaintext" `Quick test_aead_empty_plaintext;
-        Alcotest.test_case "aes block vectors" `Quick test_aes_block;
-        Alcotest.test_case "aes ctr vectors" `Quick test_aes_ctr;
       ] );
     ("cipher-properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
   ]
