@@ -540,7 +540,7 @@ let simulate trace profile_out timeline faults_spec no_hardening invoices
     Printf.eprintf "timeline: %d series, %d samples -> %s\n" n_series
       (Peace_obs.Timeseries.sample_count sampler)
       path;
-    Peace_obs.Export.series_summary Format.err_formatter sampler
+    Peace_obs.Expo.series_summary Format.err_formatter sampler
 
 let simulate_cmd =
   let scenario =
@@ -1092,7 +1092,7 @@ let stats trace profile_out profile params_src url_size =
       Peace_obs.Profile.report Format.std_formatter p;
       print_newline ());
     print_endline "registry:";
-    Peace_obs.Export.summary Format.std_formatter;
+    Peace_obs.Expo.summary Format.std_formatter;
     if !failures > 0 then begin
       Printf.eprintf "error: %d row(s) diverge from the paper's formulas\n"
         !failures;

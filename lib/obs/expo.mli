@@ -1,7 +1,8 @@
 (** Exposition formats over the span stream and the registry: Chrome
     trace-event JSON (load in Perfetto / [chrome://tracing]), folded
-    stacks ([flamegraph.pl] / speedscope), and the Prometheus text
-    exposition {!Serve} publishes on [/metrics]. *)
+    stacks ([flamegraph.pl] / speedscope), the Prometheus text
+    exposition {!Serve} publishes on [/metrics], and human summaries of
+    the registry ([peace stats]) and of a {!Timeseries} sampler. *)
 
 (** {1 Recording the span stream} *)
 
@@ -39,3 +40,16 @@ val prometheus : ?prefix:string -> unit -> string
     stored ({!Registry.encode_labels} already escapes values). Histograms
     render as cumulative [_bucket{le="..."}] series over the log-bucket
     upper bounds, plus [_sum] and [_count]. *)
+
+(** {1 Human summaries} *)
+
+val summary : Format.formatter -> unit
+(** Human-readable dump of the registry: counters, gauges, then non-empty
+    histograms. Histogram names ending in [_ns] are rendered in
+    milliseconds. *)
+
+val series_summary : Format.formatter -> Timeseries.t -> unit
+(** One line per non-empty series of the sampler: name, a Unicode block
+    sparkline (▁▂…█, at most 40 columns, mean per column; a constant
+    series at mid height), min/max/last, and stored-out-of-raw point
+    counts. *)

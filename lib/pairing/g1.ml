@@ -1,306 +1,40 @@
-(* Group arithmetic on E : y² = x³ + x over F_p.
-
-   Points are affine in Montgomery form. Additions use one field inversion
-   each; scalar multiplication switches to Jacobian coordinates internally
-   to avoid per-step inversions. *)
+(* The pairing group on E : y² = x³ + x over F_p: {!Peace_ec.Curve}'s
+   group law with the pairing's framing — exponentiation counting, the
+   fixed-width encoding, the q-subgroup check and the hash H₀. *)
 
 open Peace_bigint
 open Peace_hash
+open Peace_ec
 
-type point = Infinity | Affine of { x : Mont.elt; y : Mont.elt }
+type point = Curve.point
 
-let infinity = Infinity
-let is_infinity = function Infinity -> true | Affine _ -> false
-
-let on_curve_raw fp x y =
-  (* y² = x³ + x *)
-  let y2 = Mont.sqr fp y in
-  let x3 = Mont.mul fp (Mont.sqr fp x) x in
-  Mont.equal fp y2 (Mont.add fp x3 x)
-
-let of_affine params ~x ~y =
-  let fp = params.Params.fp in
-  let mx = Mont.of_bigint fp x and my = Mont.of_bigint fp y in
-  if not (on_curve_raw fp mx my) then invalid_arg "G1.of_affine: not on curve";
-  Affine { x = mx; y = my }
-
-let generator params = of_affine params ~x:params.Params.gx ~y:params.Params.gy
-
-let to_affine params = function
-  | Infinity -> None
-  | Affine { x; y } ->
-    Some (Mont.to_bigint params.Params.fp x, Mont.to_bigint params.Params.fp y)
-
-let coords = function Infinity -> None | Affine { x; y } -> Some (x, y)
-
-let neg params = function
-  | Infinity -> Infinity
-  | Affine { x; y } -> Affine { x; y = Mont.neg params.Params.fp y }
-
-let equal params p q =
-  match (p, q) with
-  | Infinity, Infinity -> true
-  | Infinity, Affine _ | Affine _, Infinity -> false
-  | Affine a, Affine b ->
-    let fp = params.Params.fp in
-    Mont.equal fp a.x b.x && Mont.equal fp a.y b.y
-
-let on_curve params = function
-  | Infinity -> true
-  | Affine { x; y } -> on_curve_raw params.Params.fp x y
-
-let double params p =
-  let fp = params.Params.fp in
-  match p with
-  | Infinity -> Infinity
-  | Affine { x; y } ->
-    if Mont.is_zero fp y then Infinity
-    else begin
-      (* λ = (3x² + 1) / 2y *)
-      let xx = Mont.sqr fp x in
-      let num = Mont.add fp (Mont.add fp (Mont.add fp xx xx) xx) (Mont.one fp) in
-      let lambda = Mont.mul fp num (Mont.inv fp (Mont.add fp y y)) in
-      let x3 = Mont.sub fp (Mont.sqr fp lambda) (Mont.add fp x x) in
-      let y3 = Mont.sub fp (Mont.mul fp lambda (Mont.sub fp x x3)) y in
-      Affine { x = x3; y = y3 }
-    end
-
-let add params p q =
-  let fp = params.Params.fp in
-  match (p, q) with
-  | Infinity, r | r, Infinity -> r
-  | Affine a, Affine b ->
-    if Mont.equal fp a.x b.x then
-      if Mont.equal fp a.y b.y then double params p else Infinity
-    else begin
-      let lambda =
-        Mont.mul fp (Mont.sub fp b.y a.y) (Mont.inv fp (Mont.sub fp b.x a.x))
-      in
-      let x3 = Mont.sub fp (Mont.sub fp (Mont.sqr fp lambda) a.x) b.x in
-      let y3 = Mont.sub fp (Mont.mul fp lambda (Mont.sub fp a.x x3)) a.y in
-      Affine { x = x3; y = y3 }
-    end
-
-(* --- Jacobian internals for scalar multiplication (a = 1 curve) --- *)
-
-type jac = Jinf | Jac of { jx : Mont.elt; jy : Mont.elt; jz : Mont.elt }
-
-let jac_double fp = function
-  | Jinf -> Jinf
-  | Jac { jx; jy; jz } ->
-    if Mont.is_zero fp jy then Jinf
-    else begin
-      let xx = Mont.sqr fp jx in
-      let yy = Mont.sqr fp jy in
-      let yyyy = Mont.sqr fp yy in
-      let s =
-        let t = Mont.mul fp jx yy in
-        Mont.add fp (Mont.add fp t t) (Mont.add fp t t)
-      in
-      (* M = 3X² + Z⁴ since a = 1 *)
-      let zz = Mont.sqr fp jz in
-      let m =
-        Mont.add fp (Mont.add fp (Mont.add fp xx xx) xx) (Mont.sqr fp zz)
-      in
-      let x3 = Mont.sub fp (Mont.sqr fp m) (Mont.add fp s s) in
-      let eight_yyyy =
-        let t2 = Mont.add fp yyyy yyyy in
-        let t4 = Mont.add fp t2 t2 in
-        Mont.add fp t4 t4
-      in
-      let y3 = Mont.sub fp (Mont.mul fp m (Mont.sub fp s x3)) eight_yyyy in
-      let z3 =
-        let t = Mont.mul fp jy jz in
-        Mont.add fp t t
-      in
-      Jac { jx = x3; jy = y3; jz = z3 }
-    end
-
-(* mixed addition: q is affine *)
-let jac_add_affine fp p qx qy =
-  match p with
-  | Jinf -> Jac { jx = qx; jy = qy; jz = Mont.one fp }
-  | Jac { jx; jy; jz } ->
-    let z1z1 = Mont.sqr fp jz in
-    let u2 = Mont.mul fp qx z1z1 in
-    let s2 = Mont.mul fp (Mont.mul fp qy jz) z1z1 in
-    if Mont.equal fp jx u2 then
-      if Mont.equal fp jy s2 then jac_double fp p else Jinf
-    else begin
-      let h = Mont.sub fp u2 jx in
-      let hh = Mont.sqr fp h in
-      let hhh = Mont.mul fp h hh in
-      let r = Mont.sub fp s2 jy in
-      let v = Mont.mul fp jx hh in
-      let x3 = Mont.sub fp (Mont.sub fp (Mont.sqr fp r) hhh) (Mont.add fp v v) in
-      let y3 =
-        Mont.sub fp (Mont.mul fp r (Mont.sub fp v x3)) (Mont.mul fp jy hhh)
-      in
-      Jac { jx = x3; jy = y3; jz = Mont.mul fp jz h }
-    end
-
-let jac_to_affine fp = function
-  | Jinf -> Infinity
-  | Jac { jx; jy; jz } ->
-    let zinv = Mont.inv fp jz in
-    let zinv2 = Mont.sqr fp zinv in
-    Affine
-      { x = Mont.mul fp jx zinv2; y = Mont.mul fp jy (Mont.mul fp zinv2 zinv) }
-
-(* full Jacobian + Jacobian addition, for window-table entries *)
-let jac_add fp p q =
-  match (p, q) with
-  | Jinf, r | r, Jinf -> r
-  | Jac a, Jac b ->
-    let z1z1 = Mont.sqr fp a.jz in
-    let z2z2 = Mont.sqr fp b.jz in
-    let u1 = Mont.mul fp a.jx z2z2 in
-    let u2 = Mont.mul fp b.jx z1z1 in
-    let s1 = Mont.mul fp (Mont.mul fp a.jy b.jz) z2z2 in
-    let s2 = Mont.mul fp (Mont.mul fp b.jy a.jz) z1z1 in
-    if Mont.equal fp u1 u2 then
-      if Mont.equal fp s1 s2 then jac_double fp p else Jinf
-    else begin
-      let h = Mont.sub fp u2 u1 in
-      let hh = Mont.sqr fp h in
-      let hhh = Mont.mul fp h hh in
-      let r = Mont.sub fp s2 s1 in
-      let v = Mont.mul fp u1 hh in
-      let x3 = Mont.sub fp (Mont.sub fp (Mont.sqr fp r) hhh) (Mont.add fp v v) in
-      let y3 =
-        Mont.sub fp (Mont.mul fp r (Mont.sub fp v x3)) (Mont.mul fp s1 hhh)
-      in
-      Jac { jx = x3; jy = y3; jz = Mont.mul fp (Mont.mul fp a.jz b.jz) h }
-    end
-
-(* Jacobian to affine for a whole table with one shared inversion
-   (Montgomery's trick); [Jinf] entries become [Infinity]. *)
-let batch_to_affine fp js =
-  let n = Array.length js in
-  (* before.(i) is the product of the z coordinates of entries 0 .. i-1 *)
-  let before = Array.make n (Mont.one fp) in
-  let prod = ref (Mont.one fp) in
-  for i = 0 to n - 1 do
-    before.(i) <- !prod;
-    match js.(i) with Jinf -> () | Jac { jz; _ } -> prod := Mont.mul fp !prod jz
-  done;
-  let inv = ref (Mont.inv fp !prod) in
-  let out = Array.make n Infinity in
-  for i = n - 1 downto 0 do
-    match js.(i) with
-    | Jinf -> ()
-    | Jac { jx; jy; jz } ->
-      let zinv = Mont.mul fp !inv before.(i) in
-      inv := Mont.mul fp !inv jz;
-      let zinv2 = Mont.sqr fp zinv in
-      out.(i) <-
-        Affine
-          { x = Mont.mul fp jx zinv2; y = Mont.mul fp jy (Mont.mul fp zinv2 zinv) }
-  done;
-  out
-
-(* Signed windows of width 5 (wNAF). *)
-let wnaf_width = 5
-
-(* The wNAF digits of k >= 0, least significant first: each digit is 0 or
-   odd with |d| < 2^(w-1), and each nonzero digit is followed by at least
-   w-1 zeros, so an n-bit scalar needs about n/(w+1) additions. *)
-let wnaf k =
-  let nbits = Bigint.num_bits k in
-  let bit i = if i < nbits && Bigint.testbit k i then 1 else 0 in
-  let digits = Array.make (nbits + 1) 0 in
-  let rec go i carry =
-    if i < nbits || carry > 0 then begin
-      let b = bit i + carry in
-      if b land 1 = 0 then go (i + 1) (b lsr 1)
-      else begin
-        let v = ref carry in
-        for j = wnaf_width - 1 downto 0 do
-          v := !v + (bit (i + j) lsl j)
-        done;
-        if !v >= 1 lsl (wnaf_width - 1) then begin
-          digits.(i) <- !v - (1 lsl wnaf_width);
-          go (i + wnaf_width) 1
-        end
-        else begin
-          digits.(i) <- !v;
-          go (i + wnaf_width) 0
-        end
-      end
-    end
-  in
-  go 0 0;
-  digits
-
-(* P, 3P, 5P, …, (2n-1)P in Jacobian coordinates *)
-let odd_multiples fp px py n =
-  let base = Jac { jx = px; jy = py; jz = Mont.one fp } in
-  let table = Array.make n base in
-  if n > 1 then begin
-    let twice = jac_double fp base in
-    for j = 1 to n - 1 do
-      table.(j) <- jac_add fp table.(j - 1) twice
-    done
-  end;
-  table
-
-(* Σ k_i·P_i by Straus's method: one doubling chain shared by every term,
-   and per term one mixed addition of a table entry for each nonzero wNAF
-   digit. All tables are normalised to affine with a single inversion. *)
-let lin_comb params name terms =
-  let fp = params.Params.fp in
-  List.iter
-    (fun (k, _) -> if Bigint.sign k < 0 then invalid_arg (name ^ ": negative scalar"))
-    terms;
-  let terms =
-    List.filter_map
-      (fun (k, p) ->
-        match p with
-        | Affine { x; y } when not (Bigint.is_zero k) ->
-          let digits = wnaf k in
-          let top = Array.fold_left (fun m d -> max m (abs d)) 0 digits in
-          Some (digits, odd_multiples fp x y ((top + 1) / 2))
-        | Affine _ | Infinity -> None)
-      terms
-  in
-  let affine = batch_to_affine fp (Array.concat (List.map snd terms)) in
-  let _, terms =
-    List.fold_left_map
-      (fun offset (digits, table) ->
-        let n = Array.length table in
-        (offset + n, (digits, Array.sub affine offset n)))
-      0 terms
-  in
-  let len = List.fold_left (fun m (digits, _) -> max m (Array.length digits)) 0 terms in
-  let acc = ref Jinf in
-  for i = len - 1 downto 0 do
-    acc := jac_double fp !acc;
-    List.iter
-      (fun (digits, table) ->
-        let d = if i < Array.length digits then digits.(i) else 0 in
-        if d <> 0 then
-          match table.(abs d / 2) with
-          | Infinity -> ()
-          | Affine { x; y } ->
-            acc := jac_add_affine fp !acc x (if d > 0 then y else Mont.neg fp y))
-      terms
-  done;
-  jac_to_affine fp !acc
-
-let mul_uncounted params k p = lin_comb params "G1.mul" [ (k, p) ]
+let curve params = params.Params.curve
+let infinity = Curve.Infinity
+let is_infinity = Curve.is_infinity
+let of_affine params ~x ~y = Curve.point (curve params) ~x ~y
+let generator params = Curve.base (curve params)
+let to_affine params = Curve.to_affine (curve params)
+let coords = function Curve.Infinity -> None | Curve.Affine { x; y } -> Some (x, y)
+let neg params = Curve.neg (curve params)
+let equal params = Curve.equal (curve params)
+let on_curve params = Curve.on_curve (curve params)
+let double params = Curve.double (curve params)
+let add params = Curve.add (curve params)
 
 let mul params k p =
   Counters.count_g1_mul ();
-  mul_uncounted params k p
+  Curve.lin_comb (curve params) [ (k, p) ]
 
 let mul2 params k1 p1 k2 p2 =
   Counters.count_g1_mul ();
   Counters.count_g1_mul ();
-  lin_comb params "G1.mul2" [ (k1, p1); (k2, p2) ]
+  Curve.lin_comb (curve params) [ (k1, p1); (k2, p2) ]
+
+let in_q_subgroup params p =
+  is_infinity (Curve.lin_comb (curve params) [ (params.Params.q, p) ])
 
 let in_subgroup params p =
-  is_infinity p
-  || (on_curve params p && is_infinity (mul_uncounted params params.Params.q p))
+  is_infinity p || (on_curve params p && in_q_subgroup params p)
 
 let field_width params = (Bigint.num_bits params.Params.p + 7) / 8
 
@@ -315,16 +49,12 @@ let hash_to_point params msg =
         Hmac.hkdf ~info:"peace-h2c" (msg ^ string_of_int counter) (width + 8)
       in
       let x = Bigint.erem (Bigint.of_bytes_be seed) p in
-      let rhs = Modular.add (Modular.powm x (Bigint.of_int 3) p) x p in
-      match Modular.sqrt rhs p with
+      (* (0, 0), the one point with y = 0, clears to infinity *)
+      match Curve.lift (curve params) x with
       | None -> attempt (counter + 1)
-      | Some y ->
-        if Bigint.is_zero y then attempt (counter + 1)
-        else begin
-          let pt = of_affine params ~x ~y in
-          let cleared = mul_uncounted params params.Params.h pt in
-          if is_infinity cleared then attempt (counter + 1) else cleared
-        end
+      | Some pt ->
+        let cleared = Curve.lin_comb (curve params) [ (params.Params.h, pt) ] in
+        if is_infinity cleared then attempt (counter + 1) else cleared
     end
   in
   attempt 0
@@ -347,29 +77,16 @@ let decode params s =
   else
     match s.[0] with
     | '\x00' ->
-      if String.for_all (fun c -> c = '\000') s then Some Infinity else None
-    | '\x02' | '\x03' ->
+      if String.for_all (fun c -> c = '\000') s then Some infinity else None
+    | '\x02' | '\x03' -> begin
       let x = Bigint.of_bytes_be (String.sub s 1 width) in
-      if Bigint.compare x params.Params.p >= 0 then None
-      else begin
-        let p = params.Params.p in
-        let rhs = Modular.add (Modular.powm x (Bigint.of_int 3) p) x p in
-        match Modular.sqrt rhs p with
-        | None -> None
-        | Some y0 ->
-          let want_even = s.[0] = '\x02' in
-          let y = if Bigint.is_even y0 = want_even then y0 else Bigint.sub p y0 in
-          let pt = of_affine params ~x ~y in
-          (* unlike the paper's prime-order MNT G1, the type-A curve has a
-             large cofactor: reject on-curve points outside the q-subgroup
-             at the trust boundary (small-subgroup defence) *)
-          if is_infinity (mul_uncounted params params.Params.q pt) then Some pt
-          else None
-      end
+      (* unlike the paper's prime-order MNT G1, the type-A curve has a
+         large cofactor: reject on-curve points outside the q-subgroup
+         at the trust boundary (small-subgroup defence) *)
+      match Curve.decompress (curve params) x ~odd:(s.[0] = '\x03') with
+      | Some pt when in_q_subgroup params pt -> Some pt
+      | Some _ | None -> None
+    end
     | _ -> None
 
-let pp params fmt p =
-  match to_affine params p with
-  | None -> Format.pp_print_string fmt "O"
-  | Some (x, y) ->
-    Format.fprintf fmt "(0x%s, 0x%s)" (Bigint.to_hex x) (Bigint.to_hex y)
+let pp params = Curve.pp_point (curve params)

@@ -4,10 +4,10 @@
     of the paper is the identity. Scalar multiplications are counted by
     {!Counters} as the paper's "exponentiations".
 
-    Scalar multiplication uses signed width-5 windows (wNAF) in Jacobian
-    coordinates. The odd multiples P, 3P, …, 15P are normalised to affine
-    with one shared inversion, so the main loop adds with mixed additions.
-    {!mul2} runs two such terms over a single doubling chain (Straus). *)
+    The group law, scalar multiplication (wNAF windows, Straus for
+    {!mul2}) and decompression are {!Peace_ec.Curve}'s, on the curve that
+    {!Params.t} carries; this module adds the counting, the fixed-width
+    encoding, the q-subgroup check and the hash H₀. *)
 
 open Peace_bigint
 

@@ -1,4 +1,5 @@
 open Peace_bigint
+open Peace_ec
 
 type t = {
   name : string;
@@ -6,12 +7,18 @@ type t = {
   q : Bigint.t;
   h : Bigint.t;
   fp : Mont.ctx;
+  curve : Curve.t;
   gx : Bigint.t;
   gy : Bigint.t;
 }
 
+(* E : y² = x³ + x *)
+let make_curve ~name ~p ~q ~gx ~gy =
+  Curve.make ~name ~p ~a:Bigint.one ~b:Bigint.zero ~gx ~gy ~n:q
+
 let make ~name ~p ~q ~h ~gx ~gy =
-  { name; p; q; h; fp = Mont.create p; gx; gy }
+  let curve = make_curve ~name ~p ~q ~gx ~gy in
+  { name; p; q; h; fp = Curve.field curve; curve; gx; gy }
 
 let of_hex = Bigint.of_string
 
@@ -54,42 +61,6 @@ let light =
          (of_hex
             "0x11a98683efd54b5af44aabe9ed3bfb0b6e1fdc8b2d01a56ca4fd4c34de819c4a130126fa0680efb37b3cb46e5d34d5e667d311386ebe8e659e7916448f14c5d"))
 
-(* Straight-line affine arithmetic on y² = x³ + x, used only during
-   parameter generation and validation (cold path). *)
-let affine_add p pt1 pt2 =
-  match (pt1, pt2) with
-  | None, q -> q
-  | q, None -> q
-  | Some (x1, y1), Some (x2, y2) ->
-    if Bigint.equal x1 x2 && Bigint.is_zero (Modular.add y1 y2 p) then None
-    else begin
-      let lambda =
-        if Bigint.equal x1 x2 then
-          (* (3x² + 1) / 2y *)
-          Modular.mul
-            (Modular.add (Modular.mul (Bigint.of_int 3) (Modular.mul x1 x1 p) p)
-               Bigint.one p)
-            (Modular.invert (Modular.add y1 y1 p) p)
-            p
-        else
-          Modular.mul (Modular.sub y2 y1 p)
-            (Modular.invert (Modular.sub x2 x1 p) p)
-            p
-      in
-      let x3 = Modular.sub (Modular.mul lambda lambda p) (Modular.add x1 x2 p) p in
-      let y3 = Modular.sub (Modular.mul lambda (Modular.sub x1 x3 p) p) y1 p in
-      Some (x3, y3)
-    end
-
-let affine_mul p k pt =
-  let result = ref None in
-  let base = ref pt in
-  for i = 0 to Bigint.num_bits k - 1 do
-    if Bigint.testbit k i then result := affine_add p !result !base;
-    base := affine_add p !base !base
-  done;
-  !result
-
 let validate t =
   let ( let* ) r f = match r with Ok () -> f () | Error _ as e -> e in
   let check cond msg = if cond then Ok () else Error msg in
@@ -109,10 +80,10 @@ let validate t =
          (Modular.add (Modular.powm t.gx (Bigint.of_int 3) t.p) t.gx t.p))
       "generator not on curve"
   in
-  let* () =
-    check (affine_mul t.p t.q (Some (t.gx, t.gy)) = None) "generator order <> q"
-  in
-  check (affine_mul t.p Bigint.one (Some (t.gx, t.gy)) <> None) "generator is O"
+  (* unreduced, so [q]G = O is a real check; an affine G is never O *)
+  check
+    (Curve.is_infinity (Curve.lin_comb t.curve [ (t.q, Curve.base t.curve) ]))
+    "generator order <> q"
 
 let generate rng ~qbits ~pbits ~name =
   if qbits < 8 || pbits < qbits + 3 then invalid_arg "Params.generate: bad sizes";
@@ -136,15 +107,16 @@ let generate rng ~qbits ~pbits ~name =
     match scan start 0 with
     | None -> attempt ()
     | Some (q, h, p) ->
+      (* (0, 0) lies on every y² = x³ + x: it stands in as the base point
+         until a generator is found *)
+      let curve = make_curve ~name ~p ~q ~gx:Bigint.zero ~gy:Bigint.zero in
       (* find a generator: lift x to a curve point, clear the cofactor *)
       let rec find_generator x =
-        let rhs = Modular.add (Modular.powm x (Bigint.of_int 3) p) x p in
-        match Modular.sqrt rhs p with
-        | Some y when not (Bigint.is_zero y) -> begin
-          match affine_mul p h (Some (x, y)) with
-          | Some (gx, gy) when affine_mul p q (Some (gx, gy)) = None ->
-            make ~name ~p ~q ~h ~gx ~gy
-          | _ -> find_generator (Bigint.succ x)
+        match Option.map (fun pt -> Curve.lin_comb curve [ (h, pt) ]) (Curve.lift curve x) with
+        | Some g when Curve.is_infinity (Curve.lin_comb curve [ (q, g) ]) -> begin
+          match Curve.to_affine curve g with
+          | Some (gx, gy) -> make ~name ~p ~q ~h ~gx ~gy
+          | None -> find_generator (Bigint.succ x)
         end
         | _ -> find_generator (Bigint.succ x)
       in

@@ -17,6 +17,7 @@ type t = {
   q : Bigint.t;    (** prime subgroup order, q | p+1 *)
   h : Bigint.t;    (** cofactor, p + 1 = q·h *)
   fp : Mont.ctx;   (** Montgomery context for F_p *)
+  curve : Peace_ec.Curve.t;  (** E with base point (gx, gy) of order q *)
   gx : Bigint.t;   (** generator x *)
   gy : Bigint.t;   (** generator y *)
 }

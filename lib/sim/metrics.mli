@@ -26,7 +26,6 @@ val percentile : t -> string -> float -> float option
 
 val absorb : t -> (string * int) list -> unit
 (** Add each [(name, n)] pair into the counters — the shape
-    {!Peace_obs.Export.to_metrics} and {!Peace_obs.Registry.delta}
-    produce. *)
+    {!Peace_obs.Registry.delta} produces. *)
 
 val pp_summary : Format.formatter -> t -> unit

@@ -1,9 +1,10 @@
 (* Reference implementations kept only as test oracles. Each is the routine
    the library used before it was replaced by a faster one; the
-   differential properties in test_bigint.ml and test_pairing.ml check the
-   replacement against it. *)
+   differential properties in test_bigint.ml, test_ec.ml and
+   test_pairing.ml check the replacement against it. *)
 
 open Peace_bigint
+open Peace_ec
 open Peace_pairing
 
 (* --- Montgomery multiplication: separated-operand CIOS with a (k+2)-limb
@@ -73,12 +74,14 @@ let cios_mul ctx a b =
   if t.(k) > 0 || geq_mod r m k then sub_mod_in_place r m k;
   r
 
-(* --- G1 scalar multiplication: unsigned 4-bit fixed window over Jacobian
-   coordinates, with full Jacobian additions of table entries --- *)
+(* --- Scalar multiplication on y² = x³ + ax + b as G1 computed it before
+   wNAF: unsigned 4-bit fixed window over Jacobian coordinates, with full
+   Jacobian additions of table entries. The doubling's M = 3X² + a·Z⁴ is
+   computed in full for any a. --- *)
 
 type jac = Jinf | Jac of { jx : Mont.elt; jy : Mont.elt; jz : Mont.elt }
 
-let jac_double fp = function
+let jac_double fp a = function
   | Jinf -> Jinf
   | Jac { jx; jy; jz } ->
     if Mont.is_zero fp jy then Jinf
@@ -90,10 +93,9 @@ let jac_double fp = function
         let t = Mont.mul fp jx yy in
         Mont.add fp (Mont.add fp t t) (Mont.add fp t t)
       in
-      (* M = 3X² + Z⁴ since a = 1 *)
       let zz = Mont.sqr fp jz in
       let m =
-        Mont.add fp (Mont.add fp (Mont.add fp xx xx) xx) (Mont.sqr fp zz)
+        Mont.add fp (Mont.add fp (Mont.add fp xx xx) xx) (Mont.mul fp a (Mont.sqr fp zz))
       in
       let x3 = Mont.sub fp (Mont.sqr fp m) (Mont.add fp s s) in
       let eight_yyyy =
@@ -110,7 +112,7 @@ let jac_double fp = function
     end
 
 (* mixed addition: q is affine *)
-let jac_add_affine fp p qx qy =
+let jac_add_affine fp a p qx qy =
   match p with
   | Jinf -> Jac { jx = qx; jy = qy; jz = Mont.one fp }
   | Jac { jx; jy; jz } ->
@@ -118,7 +120,7 @@ let jac_add_affine fp p qx qy =
     let u2 = Mont.mul fp qx z1z1 in
     let s2 = Mont.mul fp (Mont.mul fp qy jz) z1z1 in
     if Mont.equal fp jx u2 then
-      if Mont.equal fp jy s2 then jac_double fp p else Jinf
+      if Mont.equal fp jy s2 then jac_double fp a p else Jinf
     else begin
       let h = Mont.sub fp u2 jx in
       let hh = Mont.sqr fp h in
@@ -132,29 +134,19 @@ let jac_add_affine fp p qx qy =
       Jac { jx = x3; jy = y3; jz = Mont.mul fp jz h }
     end
 
-let jac_to_affine params = function
-  | Jinf -> G1.infinity
-  | Jac { jx; jy; jz } ->
-    let fp = params.Params.fp in
-    let zinv = Mont.inv fp jz in
-    let zinv2 = Mont.sqr fp zinv in
-    G1.of_affine params
-      ~x:(Mont.to_bigint fp (Mont.mul fp jx zinv2))
-      ~y:(Mont.to_bigint fp (Mont.mul fp jy (Mont.mul fp zinv2 zinv)))
-
 (* full Jacobian + Jacobian addition, for window-table entries *)
-let jac_add fp p q =
+let jac_add fp a p q =
   match (p, q) with
   | Jinf, r | r, Jinf -> r
-  | Jac a, Jac b ->
-    let z1z1 = Mont.sqr fp a.jz in
-    let z2z2 = Mont.sqr fp b.jz in
-    let u1 = Mont.mul fp a.jx z2z2 in
-    let u2 = Mont.mul fp b.jx z1z1 in
-    let s1 = Mont.mul fp (Mont.mul fp a.jy b.jz) z2z2 in
-    let s2 = Mont.mul fp (Mont.mul fp b.jy a.jz) z1z1 in
+  | Jac p1, Jac p2 ->
+    let z1z1 = Mont.sqr fp p1.jz in
+    let z2z2 = Mont.sqr fp p2.jz in
+    let u1 = Mont.mul fp p1.jx z2z2 in
+    let u2 = Mont.mul fp p2.jx z1z1 in
+    let s1 = Mont.mul fp (Mont.mul fp p1.jy p2.jz) z2z2 in
+    let s2 = Mont.mul fp (Mont.mul fp p2.jy p1.jz) z1z1 in
     if Mont.equal fp u1 u2 then
-      if Mont.equal fp s1 s2 then jac_double fp p else Jinf
+      if Mont.equal fp s1 s2 then jac_double fp a p else Jinf
     else begin
       let h = Mont.sub fp u2 u1 in
       let hh = Mont.sqr fp h in
@@ -165,50 +157,77 @@ let jac_add fp p q =
       let y3 =
         Mont.sub fp (Mont.mul fp r (Mont.sub fp v x3)) (Mont.mul fp s1 hhh)
       in
-      Jac { jx = x3; jy = y3; jz = Mont.mul fp (Mont.mul fp a.jz b.jz) h }
+      Jac { jx = x3; jy = y3; jz = Mont.mul fp (Mont.mul fp p1.jz p2.jz) h }
     end
+
+let jac_to_affine fp = function
+  | Jinf -> None
+  | Jac { jx; jy; jz } ->
+    let zinv = Mont.inv fp jz in
+    let zinv2 = Mont.sqr fp zinv in
+    Some
+      ( Mont.to_bigint fp (Mont.mul fp jx zinv2),
+        Mont.to_bigint fp (Mont.mul fp jy (Mont.mul fp zinv2 zinv)) )
+
+(* k·(px, py) for k >= 0 on the curve with coefficient [a] (Montgomery
+   form), as affine bigints; [None] for infinity *)
+let mul_fixed_window fp a k px py =
+  let nbits = Bigint.num_bits k in
+  if nbits = 0 then None
+  else if nbits <= 8 then begin
+    (* short scalars: plain double-and-add, no table overhead *)
+    let acc = ref Jinf in
+    for i = nbits - 1 downto 0 do
+      acc := jac_double fp a !acc;
+      if Bigint.testbit k i then acc := jac_add_affine fp a !acc px py
+    done;
+    jac_to_affine fp !acc
+  end
+  else begin
+    (* 4-bit fixed window *)
+    let table = Array.make 16 Jinf in
+    table.(1) <- Jac { jx = px; jy = py; jz = Mont.one fp };
+    for i = 2 to 15 do
+      table.(i) <- jac_add_affine fp a table.(i - 1) px py
+    done;
+    let nwin = (nbits + 3) / 4 in
+    let window w =
+      let v = ref 0 in
+      for b = 3 downto 0 do
+        let idx = (4 * w) + b in
+        v := (!v lsl 1) lor (if idx < nbits && Bigint.testbit k idx then 1 else 0)
+      done;
+      !v
+    in
+    let acc = ref table.(window (nwin - 1)) in
+    for w = nwin - 2 downto 0 do
+      acc := jac_double fp a !acc;
+      acc := jac_double fp a !acc;
+      acc := jac_double fp a !acc;
+      acc := jac_double fp a !acc;
+      let v = window w in
+      if v <> 0 then acc := jac_add fp a !acc table.(v)
+    done;
+    jac_to_affine fp !acc
+  end
 
 let g1_mul_fixed_window params k p =
   let fp = params.Params.fp in
   if Bigint.sign k < 0 then invalid_arg "G1.mul: negative scalar";
   match G1.coords p with
   | None -> G1.infinity
-  | Some (px, py) ->
-    let nbits = Bigint.num_bits k in
-    if nbits = 0 then G1.infinity
-    else if nbits <= 8 then begin
-      (* short scalars: plain double-and-add, no table overhead *)
-      let acc = ref Jinf in
-      for i = nbits - 1 downto 0 do
-        acc := jac_double fp !acc;
-        if Bigint.testbit k i then acc := jac_add_affine fp !acc px py
-      done;
-      jac_to_affine params !acc
-    end
-    else begin
-      (* 4-bit fixed window *)
-      let table = Array.make 16 Jinf in
-      table.(1) <- Jac { jx = px; jy = py; jz = Mont.one fp };
-      for i = 2 to 15 do
-        table.(i) <- jac_add_affine fp table.(i - 1) px py
-      done;
-      let nwin = (nbits + 3) / 4 in
-      let window w =
-        let v = ref 0 in
-        for b = 3 downto 0 do
-          let idx = (4 * w) + b in
-          v := (!v lsl 1) lor (if idx < nbits && Bigint.testbit k idx then 1 else 0)
-        done;
-        !v
-      in
-      let acc = ref table.(window (nwin - 1)) in
-      for w = nwin - 2 downto 0 do
-        acc := jac_double fp !acc;
-        acc := jac_double fp !acc;
-        acc := jac_double fp !acc;
-        acc := jac_double fp !acc;
-        let v = window w in
-        if v <> 0 then acc := jac_add fp !acc table.(v)
-      done;
-      jac_to_affine params !acc
-    end
+  | Some (px, py) -> (
+    match mul_fixed_window fp (Mont.one fp) k px py with
+    | None -> G1.infinity
+    | Some (x, y) -> G1.of_affine params ~x ~y)
+
+(* [Curve.mul]: the scalar reduced modulo the group order *)
+let ec_mul_fixed_window curve ~a k p =
+  let fp = Curve.field curve in
+  match p with
+  | Curve.Infinity -> Curve.infinity curve
+  | Curve.Affine { x = px; y = py } -> (
+    let k = Bigint.erem k (Curve.order curve) in
+    match mul_fixed_window fp (Mont.of_bigint fp a) k px py with
+    | None -> Curve.infinity curve
+    | Some (x, y) -> Curve.point curve ~x ~y)

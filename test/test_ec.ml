@@ -101,6 +101,26 @@ let test_encoding () =
   | None -> ()
   | Some pt -> Alcotest.(check bool) "if decodable, must be on curve" true (Curve.on_curve s160 pt)
 
+(* A coordinate at or above p used to be reduced by the field, so
+   0x04 ‖ (x + p) ‖ y decoded to the point (x, y): two encodings of one
+   point. The secp160r1 point with x = 0 shows it, since x + p still fits
+   in 20 bytes. *)
+let test_decode_rejects_unreduced () =
+  let size = Curve.byte_size s160 in
+  let p = Curve.field_order s160 in
+  let pt =
+    match Curve.decode s160 ("\x02" ^ String.make size '\x00') with
+    | Some pt -> pt
+    | None -> Alcotest.fail "secp160r1 has a point with x = 0"
+  in
+  let canonical = Curve.encode s160 pt in
+  Alcotest.(check bool) "canonical encoding decodes" true
+    (Curve.decode s160 canonical <> None);
+  let unreduced_x = "\x04" ^ Bigint.to_bytes_be ~width:size p ^ String.sub canonical (1 + size) size in
+  Alcotest.(check bool) "x + p rejected" true (Curve.decode s160 unreduced_x = None);
+  Alcotest.(check bool) "compressed x + p rejected" true
+    (Curve.decode s160 ("\x02" ^ Bigint.to_bytes_be ~width:size p) = None)
+
 let test_ecdsa_sign_verify () =
   List.iter
     (fun curve ->
@@ -178,6 +198,101 @@ let test_external_ecdsa_vector () =
   Alcotest.(check bool) "same key signs and verifies" true
     (Ecdsa.verify s160 ~public msg (Ecdsa.sign s160 ~key msg))
 
+(* Scalars at the edges of the reduction modulo n, and random ones up to
+   2n. *)
+let edge_scalar_gen curve =
+  let n = Curve.order curve in
+  QCheck.Gen.(
+    frequency
+      [
+        (1, oneofl [ Bigint.zero; Bigint.one; Bigint.pred n; n; Bigint.succ n ]);
+        (1, map (fun n -> Bigint.of_int n) (int_bound 300));
+        (4, map (fun seed -> Bigint.random_below (test_rng seed) (Bigint.shift_left n 1)) int);
+      ])
+
+(* a random multiple of G, its negation, G itself and infinity *)
+let ec_points curve =
+  let pt = Curve.mul_base curve (Bigint.of_string "0x1234567890abcdef1234567890abcdef") in
+  [| pt; Curve.neg curve pt; Curve.base curve; Curve.infinity curve |]
+
+let ec_mul_differential curve =
+  let points = ec_points curve in
+  let arb =
+    QCheck.make
+      ~print:(fun (k, i) -> Printf.sprintf "k=%s point=%d" (Bigint.to_string k) i)
+      QCheck.Gen.(pair (edge_scalar_gen curve) (int_bound (Array.length points - 1)))
+  in
+  QCheck.Test.make
+    ~name:("mul matches fixed-window oracle at " ^ Curve.name curve)
+    ~count:40 arb
+    (fun (k, i) ->
+      (* both NIST curves have a = -3 *)
+      Curve.equal curve (Curve.mul curve k points.(i))
+        (Oracles.ec_mul_fixed_window curve ~a:(Bigint.of_int (-3)) k points.(i)))
+
+let ec_mul2_differential curve =
+  let points = ec_points curve in
+  let n = Array.length points in
+  let arb =
+    QCheck.make
+      ~print:(fun ((k1, k2), (i, j)) ->
+        Printf.sprintf "k1=%s k2=%s points=%d,%d" (Bigint.to_string k1)
+          (Bigint.to_string k2) i j)
+      QCheck.Gen.(
+        pair
+          (pair (edge_scalar_gen curve) (edge_scalar_gen curve))
+          (pair (int_bound (n - 1)) (int_bound (n - 1))))
+  in
+  QCheck.Test.make
+    ~name:("mul2 matches mul + add at " ^ Curve.name curve)
+    ~count:30 arb
+    (fun ((k1, k2), (i, j)) ->
+      Curve.equal curve
+        (Curve.mul2 curve k1 points.(i) k2 points.(j))
+        (Curve.add curve (Curve.mul curve k1 points.(i)) (Curve.mul curve k2 points.(j))))
+
+let test_mul2_counts () =
+  let c = Peace_obs.Registry.counter "ec.scalar_mul" in
+  let before = Peace_obs.Registry.Counter.value c in
+  let g = Curve.base s160 in
+  let r = Curve.mul2 s160 (Bigint.pred (Curve.order s160)) g Bigint.one g in
+  Alcotest.(check int) "one mul2 counts two scalar mults" 2
+    (Peace_obs.Registry.Counter.value c - before);
+  Alcotest.(check bool) "(n-1)G + G = O" true (Curve.is_infinity r)
+
+(* Arbitrary bytes, and bytes of the lengths the decoders accept. *)
+let bytes_gen lengths =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, string_size (int_bound 64));
+        (3, oneofl lengths >>= fun n -> string_size (return n));
+      ])
+
+let decode_total curve =
+  let size = Curve.byte_size curve in
+  let arb =
+    QCheck.make ~print:(fun s -> Printf.sprintf "%S" s)
+      QCheck.Gen.(
+        pair (oneofl [ '\x00'; '\x02'; '\x03'; '\x04'; '\x05' ])
+          (bytes_gen [ 0; size; 2 * size ])
+        >|= fun (c, s) -> String.make 1 c ^ s)
+  in
+  QCheck.Test.make ~name:("decode total at " ^ Curve.name curve) ~count:200 arb
+    (fun s ->
+      match Curve.decode curve s with
+      | None -> true
+      | Some pt -> Curve.on_curve curve pt)
+
+let ecdsa_verify_total =
+  let key = Ecdsa.generate s160 (test_rng 5) in
+  let width = Ecdsa.signature_size s160 in
+  let arb = QCheck.make ~print:(fun s -> Printf.sprintf "%S" s) (bytes_gen [ width ]) in
+  QCheck.Test.make ~name:"signature decode + verify total" ~count:200 arb (fun s ->
+      match Ecdsa.signature_of_bytes s160 s with
+      | None -> String.length s <> width
+      | Some signature -> not (Ecdsa.verify s160 ~public:key.q "msg" signature))
+
 let qcheck_tests =
   let scalar_gen =
     QCheck.map
@@ -205,6 +320,13 @@ let qcheck_tests =
       (fun msg ->
         let key = Ecdsa.generate s160 (test_rng 21) in
         Ecdsa.verify s160 ~public:key.q msg (Ecdsa.sign s160 ~key msg));
+    ec_mul_differential s160;
+    ec_mul_differential p256;
+    ec_mul2_differential s160;
+    ec_mul2_differential p256;
+    decode_total s160;
+    decode_total p256;
+    ecdsa_verify_total;
   ]
 
 let suite =
@@ -215,6 +337,9 @@ let suite =
         Alcotest.test_case "group laws" `Quick test_group_laws;
         Alcotest.test_case "point validation" `Quick test_point_validation;
         Alcotest.test_case "encoding" `Quick test_encoding;
+        Alcotest.test_case "decode rejects unreduced coordinates" `Quick
+          test_decode_rejects_unreduced;
+        Alcotest.test_case "mul2 counts two scalar mults" `Quick test_mul2_counts;
       ] );
     ( "ecdsa",
       [

@@ -1,10 +1,11 @@
 (* Peace_obs tests: lock-free metric semantics (including exactness under
    concurrent domains), the enabled switch, span nesting and JSONL trace
-   well-formedness, registry enumeration/delta, and the exporters. *)
+   well-formedness, registry enumeration/delta, and the exposition
+   formats. *)
 
 module R = Peace_obs.Registry
 module Trace = Peace_obs.Trace
-module Export = Peace_obs.Export
+module Expo = Peace_obs.Expo
 
 (* --- tiny fixed-field JSONL scanner (the trace emitter writes fields in
    a fixed order, so substring scanning is enough for tests) --- *)
@@ -224,32 +225,17 @@ let test_with_file () =
 
 (* --- exporters --- *)
 
-let test_export () =
-  let c = R.counter "test.obs.export" in
+let test_summary () =
+  let c = R.counter "test.obs.summary" in
   R.Counter.reset c;
   R.Counter.add c 9;
-  let metrics = Export.to_metrics () in
-  Alcotest.(check (option int)) "to_metrics carries the counter" (Some 9)
-    (List.assoc_opt "test.obs.export" metrics);
-  let jsonl = ref [] in
-  Export.jsonl (fun l -> jsonl := l :: !jsonl);
-  Alcotest.(check bool) "jsonl emits the counter" true
-    (List.exists
-       (fun l ->
-         str_field l "name" = Some "test.obs.export" && int_field l "value" = Some 9)
-       !jsonl);
-  List.iter
-    (fun l ->
-      Alcotest.(check bool) "jsonl lines are objects" true
-        (String.length l > 1 && l.[0] = '{' && l.[String.length l - 1] = '}'))
-    !jsonl;
   let buf = Buffer.create 256 in
   let fmt = Format.formatter_of_buffer buf in
-  Export.summary fmt;
+  Expo.summary fmt;
   Format.pp_print_flush fmt ();
   let text = Buffer.contents buf in
   Alcotest.(check bool) "summary names the counter" true
-    (after text "test.obs.export" <> None)
+    (after text "test.obs.summary" <> None)
 
 let test_json_escape () =
   Alcotest.(check string) "specials escaped" "a\\\"b\\\\c\\nd\\te"
@@ -376,14 +362,30 @@ let test_sampler_clock_and_export () =
     (match List.rev !csv with h :: _ -> Some h | [] -> None)
 
 let test_sparkline () =
-  Alcotest.(check string) "empty" "" (Export.sparkline []);
-  let line =
-    Export.sparkline ~width:8
-      (List.init 8 (fun i -> (i, float_of_int i)))
+  let render sampler =
+    let buf = Buffer.create 256 in
+    let fmt = Format.formatter_of_buffer buf in
+    Expo.series_summary fmt sampler;
+    Format.pp_print_flush fmt ();
+    Buffer.contents buf
   in
-  Alcotest.(check bool) "ramp ends on the tallest block" true
-    (String.length line >= 3
-    && String.sub line (String.length line - 3) 3 = "█")
+  Alcotest.(check string) "no series" "(no series sampled)\n" (render (Ts.create ()));
+  let t = ref 0 and v = ref 0.0 in
+  let sampler = Ts.create ~now:(fun () -> !t) () in
+  ignore (Ts.track sampler "test.spark.ramp" (fun () -> !v));
+  ignore (Ts.track sampler "test.spark.flat" (fun () -> 1.0));
+  for i = 0 to 7 do
+    t := i;
+    v := float_of_int i;
+    Ts.sample sampler
+  done;
+  let text = render sampler in
+  Alcotest.(check bool) "ramp climbs to the tallest block" true
+    (after text "\xe2\x96\x81\xe2\x96\x82\xe2\x96\x83\xe2\x96\x84\xe2\x96\x85\xe2\x96\x86\xe2\x96\x87\xe2\x96\x88  min=0 max=7 last=7 n=8/8"
+    <> None);
+  Alcotest.(check bool) "constant series at mid height" true
+    (after text (String.concat "" (List.init 8 (fun _ -> "\xe2\x96\x84")) ^ "  min=1 max=1")
+    <> None)
 
 (* --- explicit span handles --- *)
 
@@ -484,7 +486,6 @@ let test_histogram_buckets () =
 (* --- span-tree profiler --- *)
 
 module Profile = Peace_obs.Profile
-module Expo = Peace_obs.Expo
 
 let test_profile_tree () =
   let ops_c = R.counter "test.obs.profops" in
@@ -1767,11 +1768,9 @@ let () =
         [
           Alcotest.test_case "ring wraparound/downsampling" `Quick test_series_wraparound;
           Alcotest.test_case "sampler clock + exporters" `Quick test_sampler_clock_and_export;
-          Alcotest.test_case "sparkline" `Quick test_sparkline;
         ] );
       ( "export",
         [
-          Alcotest.test_case "summary/jsonl/to_metrics" `Quick test_export;
           Alcotest.test_case "json escaping" `Quick test_json_escape;
           Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
           Alcotest.test_case "utf-16 surrogate pairs" `Quick
@@ -1793,6 +1792,8 @@ let () =
           Alcotest.test_case "chrome trace JSON" `Quick test_chrome_export;
           Alcotest.test_case "folded stacks" `Quick test_folded_export;
           Alcotest.test_case "prometheus text" `Quick test_prometheus_exposition;
+          Alcotest.test_case "registry summary" `Quick test_summary;
+          Alcotest.test_case "series summary sparkline" `Quick test_sparkline;
         ] );
       ( "serve",
         [

@@ -39,6 +39,26 @@ let test_params_generate () =
   Alcotest.(check int) "q bits" 40 (Bigint.num_bits params.q);
   Alcotest.(check int) "p bits" 96 (Bigint.num_bits params.p)
 
+(* Params.of_text builds the curve before validating, so a generator off
+   the curve must come back as an Error, not an exception. *)
+let test_params_of_text () =
+  let text = Params.to_text tiny in
+  (match Params.of_text text with
+  | Ok params -> Alcotest.(check string) "round trip" text (Params.to_text params)
+  | Error e -> Alcotest.failf "tiny text rejected: %s" e);
+  let with_generator gx gy =
+    match String.split_on_char '\n' text with
+    | [ magic; name; p; q; h; _; _; "" ] ->
+      String.concat "\n" [ magic; name; p; q; h; Bigint.to_hex gx; Bigint.to_hex gy ]
+    | _ -> Alcotest.fail "unexpected parameter text layout"
+  in
+  let rejected name text =
+    Alcotest.(check bool) name true
+      (match Params.of_text text with Error _ -> true | Ok _ -> false)
+  in
+  rejected "off-curve generator" (with_generator tiny.gx (Bigint.succ tiny.gy));
+  rejected "generator of order 2" (with_generator Bigint.zero Bigint.zero)
+
 let test_g1_group_laws () =
   let params = tiny in
   let g = G1.generator params in
@@ -420,6 +440,7 @@ let suite =
       [
         Alcotest.test_case "presets valid" `Quick test_params_valid;
         Alcotest.test_case "generation" `Quick test_params_generate;
+        Alcotest.test_case "of_text rejects bad generators" `Quick test_params_of_text;
       ] );
     ( "g1",
       [
